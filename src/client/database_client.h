@@ -1,124 +1,121 @@
-// Client runtime: the application-facing handle to the database.
-//
-// Owns the client database cache (second level of the paper's memory
-// hierarchy), a virtual clock for the GUI/user thread, and an inbox for
-// asynchronous notifications (the Display Lock Client in src/core pumps
-// it). Every server interaction charges calibrated virtual latency through
-// the shared RpcMeter; cache hits cost nothing — the avoidance-based
-// protocol guarantees cached copies are valid.
+// The in-process client: ClientApi over InProcessChannel, which calls the
+// DatabaseServer directly and charges each round trip's calibrated virtual
+// latency through the shared RpcMeter. DatabaseClient wires the channel and
+// registers the client's cache with the server and its inbox with the bus.
 
 #pragma once
 
-#include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "client/client_api.h"
-#include "client/object_cache.h"
-#include "net/inbox.h"
 #include "net/notification_bus.h"
 #include "net/rpc_meter.h"
 #include "server/database_server.h"
 
 namespace idba {
 
-struct DatabaseClientOptions {
-  ObjectCacheOptions cache;
-  /// Report cache evictions to the server (keeps the callback registry
-  /// tight; piggybacked on other traffic in real systems, so free here).
-  bool report_evictions = true;
-  ConsistencyMode consistency = ConsistencyMode::kAvoidance;
-  /// Bounds for the notification inbox (0 = unbounded, the default).
-  /// Bounding adds the coalesce/shed/overflow degradation ladder of
-  /// net/inbox.h; the DLC pump answers an overflow with a full resync.
-  InboxOptions inbox;
+using DatabaseClientOptions = ClientOptions;
+
+class InProcessChannel : public ServerChannel {
+ private:
+  /// Runs `server_->*call(id, args..., &info)` as one metered round trip:
+  /// the request's arrival is pushed into the server clock before the call
+  /// (so commit hooks read a causally correct time), and the call's cost is
+  /// charged to the client clock after it.
+  template <typename Call, typename... Args>
+  auto Metered(Call call, Args&&... args) {
+    meter_->ObserveRequest(client_.clock().Now(), &server_->cpu_clock());
+    ServerCallInfo info;
+    auto out = (server_->*call)(client_.id(), std::forward<Args>(args)..., &info);
+    Charge(info);
+    return out;
+  }
+  void Charge(const ServerCallInfo& info);
+
+ public:
+  InProcessChannel(ClientApi& client, DatabaseServer* server, RpcMeter* meter)
+      : ServerChannel(client), server_(server), meter_(meter) {}
+
+  DatabaseServer& server() { return *server_; }
+
+  const SchemaCatalog& schema() const override { return server_->schema(); }
+  const CostModel& cost_model() const override { return meter_->cost_model(); }
+
+  // Direct catalog access (setup phase; not metered).
+  Result<ClassId> DefineClass(const std::string& name, ClassId base) override {
+    return server_->schema().DefineClass(name, base);
+  }
+  Status AddAttribute(ClassId cls, const std::string& name, ValueType type,
+                      Value default_value) override {
+    return server_->schema().AddAttribute(cls, name, type,
+                                          std::move(default_value));
+  }
+
+  /// Begin is piggybacked on the first request in real systems; free here.
+  Result<TxnId> Begin() override { return server_->Begin(client_.id()); }
+  Result<DatabaseObject> Fetch(TxnId txn, Oid oid) override {
+    return Metered(&DatabaseServer::Fetch, txn, oid);
+  }
+  Result<DatabaseObject> FetchCurrent(Oid oid, bool register_copy) override {
+    return Metered(&DatabaseServer::FetchCurrent, oid, register_copy);
+  }
+  Status LockForRead(TxnId txn, Oid oid) override {
+    return Metered(&DatabaseServer::LockForRead, txn, oid);
+  }
+  Status Put(TxnId txn, DatabaseObject obj) override {
+    return Metered(&DatabaseServer::Put, txn, std::move(obj));
+  }
+  Status Insert(TxnId txn, DatabaseObject obj) override {
+    return Metered(&DatabaseServer::Insert, txn, std::move(obj));
+  }
+  Status Erase(TxnId txn, Oid oid) override {
+    return Metered(&DatabaseServer::Erase, txn, oid);
+  }
+  Result<CommitResult> Commit(TxnId txn) override {
+    return Metered(&DatabaseServer::Commit, txn);
+  }
+  Result<CommitResult> CommitValidated(TxnId txn,
+                                       const ReadSet& read_set) override {
+    return Metered(&DatabaseServer::CommitValidated, txn, read_set);
+  }
+  Status Abort(TxnId txn) override {
+    return Metered(&DatabaseServer::Abort, txn);
+  }
+  Result<std::vector<DatabaseObject>> ScanClass(
+      ClassId cls, bool include_subclasses) override {
+    return Metered(&DatabaseServer::ScanClass, cls, include_subclasses);
+  }
+  Result<std::vector<DatabaseObject>> Query(const ObjectQuery& query) override {
+    return Metered(&DatabaseServer::ExecuteQuery, query);
+  }
+  Result<Oid> AllocateOid() override { return server_->AllocateOid(); }
+  Result<uint64_t> GetVersion(Oid oid) override {
+    IDBA_ASSIGN_OR_RETURN(DatabaseObject obj, server_->heap().Read(oid));
+    return obj.version();
+  }
+  /// Eviction notices are piggybacked on other traffic in real systems,
+  /// so free here.
+  void NoteEvicted(Oid oid) override { server_->NoteEvicted(client_.id(), oid); }
+
+ private:
+  DatabaseServer* server_;
+  RpcMeter* meter_;
 };
 
-/// One per application process. Thread-compatible: the application drives
-/// it from its user thread; the notification pump may concurrently touch
-/// the cache (which is internally synchronized).
+/// One per application process.
 class DatabaseClient : public ClientApi {
  public:
   DatabaseClient(DatabaseServer* server, ClientId id, RpcMeter* meter,
                  NotificationBus* bus, DatabaseClientOptions opts = {});
   ~DatabaseClient() override;
 
-  DatabaseClient(const DatabaseClient&) = delete;
-  DatabaseClient& operator=(const DatabaseClient&) = delete;
-
-  ClientId id() const override { return id_; }
-  VirtualClock& clock() override { return clock_; }
-  Inbox& inbox() override { return inbox_; }
-  ObjectCache& cache() override { return cache_; }
-  DatabaseServer& server() { return *server_; }
-  const SchemaCatalog& schema() const override { return server_->schema(); }
-  const CostModel& cost_model() const override { return meter_->cost_model(); }
-
-  // --- Schema administration (direct catalog access; setup phase) ------
-  Result<ClassId> DefineClass(const std::string& name,
-                              ClassId base = 0) override {
-    return server_->schema().DefineClass(name, base);
-  }
-  Status AddAttribute(ClassId cls, const std::string& name, ValueType type,
-                      Value default_value = Value()) override {
-    return server_->schema().AddAttribute(cls, name, type,
-                                          std::move(default_value));
-  }
-
-  // --- Transactions ----------------------------------------------------
-  Result<TxnId> BeginTxn() override;
-
-  /// Transactional read (S lock at the server on a miss; free on a hit).
-  Result<DatabaseObject> Read(TxnId txn, Oid oid) override;
-
-  /// Degree-0 read of the latest committed image (display building).
-  Result<DatabaseObject> ReadCurrent(Oid oid) override;
-
-  Status Write(TxnId txn, DatabaseObject obj) override;
-  Status Insert(TxnId txn, DatabaseObject obj) override;
-  Status EraseObject(TxnId txn, Oid oid) override;
-
-  Result<CommitResult> Commit(TxnId txn) override;
-  Status Abort(TxnId txn) override;
-
-  /// Degree-0 scan used to populate displays.
-  Result<std::vector<DatabaseObject>> ScanClass(
-      ClassId cls, bool include_subclasses = false) override;
-
-  /// Degree-0 server-side predicate query; matches enter the cache.
-  Result<std::vector<DatabaseObject>> RunQuery(const ObjectQuery& query) override;
-
-  Result<Oid> NewOid() override { return server_->AllocateOid(); }
-
-  Result<uint64_t> LatestVersion(Oid oid) override {
-    IDBA_ASSIGN_OR_RETURN(DatabaseObject obj, server_->heap().Read(oid));
-    return obj.version();
-  }
-
-  uint64_t rpcs_issued() const override { return rpcs_.Get(); }
-  ConsistencyMode consistency() const override { return opts_.consistency; }
-  /// Validation aborts suffered (detection mode only).
-  uint64_t validation_aborts() const override { return validation_aborts_.Get(); }
+  DatabaseServer& server() { return channel_.server(); }
 
  private:
-  void PreObserve();
-  void Charge(const ServerCallInfo& info);
-  void RecordRead(TxnId txn, const DatabaseObject& obj);
-
-  DatabaseServer* server_;
-  ClientId id_;
-  RpcMeter* meter_;
+  InProcessChannel channel_;
   NotificationBus* bus_;
-  DatabaseClientOptions opts_;
-  ObjectCache cache_;
-  Inbox inbox_;
-  VirtualClock clock_;
-  Counter rpcs_;
-  Counter validation_aborts_;
-  // Detection mode: optimistic read sets per open transaction.
-  std::mutex read_sets_mu_;
-  std::unordered_map<TxnId, std::vector<std::pair<Oid, uint64_t>>> read_sets_;
 };
 
 }  // namespace idba

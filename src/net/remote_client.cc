@@ -31,63 +31,77 @@ uint64_t EmitSpan(uint64_t trace_id, uint64_t parent, const char* name,
   return id;
 }
 
-}  // namespace
-
-RemoteDatabaseClient::RemoteDatabaseClient(ClientId id, RemoteClientOptions opts)
-    : id_(id), opts_(opts), cost_model_(opts.cost), cache_(opts.cache),
-      inbox_(opts.inbox) {}
-
-Result<std::unique_ptr<RemoteDatabaseClient>> RemoteDatabaseClient::Connect(
-    const std::string& host, uint16_t port, ClientId id,
-    RemoteClientOptions opts) {
-  std::unique_ptr<RemoteDatabaseClient> client(
-      new RemoteDatabaseClient(id, opts));
-  client->host_ = host;
-  client->port_ = port;
-  IDBA_ASSIGN_OR_RETURN(client->sock_,
-                        Socket::ConnectTo(host, port, opts.connect_timeout_ms));
-  client->connected_.store(true);
-  RemoteDatabaseClient* raw = client.get();
-  client->reader_ = std::thread([raw] { raw->ReaderLoop(); });
-  IDBA_RETURN_NOT_OK(client->Hello());
-  if (opts.report_evictions) client->InstallEvictionCallback();
-  if (opts.heartbeat_interval_ms > 0) {
-    client->heartbeat_ = std::thread([raw] { raw->HeartbeatLoop(); });
-  }
-  return client;
+// Request-body fields, encoded in the order given to Body().
+void Encode(Encoder* enc, uint8_t v) { enc->PutU8(v); }
+void Encode(Encoder* enc, uint64_t v) { enc->PutU64(v); }
+void Encode(Encoder* enc, uint32_t v) { enc->PutU32(v); }
+void Encode(Encoder* enc, int64_t v) { enc->PutI64(v); }
+void Encode(Encoder* enc, bool v) { enc->PutU8(v ? 1 : 0); }
+void Encode(Encoder* enc, ValueType v) { enc->PutU8(static_cast<uint8_t>(v)); }
+void Encode(Encoder* enc, Oid oid) { enc->PutU64(oid.value); }
+void Encode(Encoder* enc, const std::string& s) { enc->PutString(s); }
+void Encode(Encoder* enc, const std::vector<Oid>& oids) {
+  wire::EncodeOidVector(oids, enc);
+}
+void Encode(Encoder* enc, const ReadSet& reads) {
+  wire::EncodeReadSet(reads, enc);
+}
+template <typename T>
+auto Encode(Encoder* enc, const T& v) -> decltype(v.EncodeTo(enc)) {
+  v.EncodeTo(enc);
 }
 
-RemoteDatabaseClient::~RemoteDatabaseClient() {
+template <typename... Fields>
+std::vector<uint8_t> Body(const Fields&... fields) {
+  std::vector<uint8_t> body;
+  Encoder enc(&body);
+  (Encode(&enc, fields), ...);
+  return body;
+}
+
+Status DecodeU64(Decoder* dec, uint64_t* out) { return dec->GetU64(out); }
+
+}  // namespace
+
+TcpChannel::TcpChannel(ClientApi& client, const RemoteClientOptions& opts)
+    : ServerChannel(client), opts_(opts), cost_model_(opts.cost) {}
+
+Status TcpChannel::Open(const std::string& host, uint16_t port) {
+  host_ = host;
+  port_ = port;
+  IDBA_ASSIGN_OR_RETURN(sock_,
+                        Socket::ConnectTo(host, port, opts_.connect_timeout_ms));
+  connected_.store(true);
+  reader_ = std::thread([this] { ReaderLoop(); });
+  IDBA_RETURN_NOT_OK(Hello());
+  if (opts_.heartbeat_interval_ms > 0) {
+    heartbeat_ = std::thread([this] { HeartbeatLoop(); });
+  }
+  return Status::OK();
+}
+
+TcpChannel::~TcpChannel() {
   shutting_down_.store(true);
   {
     std::lock_guard<std::mutex> lock(hb_mu_);
   }
   hb_cv_.notify_all();
-  cache_.set_eviction_callback(EvictionCallback());
   sock_.ShutdownBoth();
   if (reader_.joinable()) reader_.join();
   if (heartbeat_.joinable()) heartbeat_.join();
-  inbox_.Close();
+  client_.inbox().Close();
   sock_.Close();
-}
-
-void RemoteDatabaseClient::InstallEvictionCallback() {
-  cache_.set_eviction_callback([this](Oid oid) {
-    std::vector<uint8_t> body;
-    Encoder enc(&body);
-    enc.PutU64(oid.value);
-    SendOneWay(wire::Method::kNoteEvicted, body);
-  });
 }
 
 void RemoteDatabaseClient::set_fault_injector(
     std::shared_ptr<FaultInjector> faults) {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  faults_ = faults;
-  sock_.set_fault_injector(std::move(faults));
+  std::lock_guard<std::mutex> lock(channel_.write_mu_);
+  channel_.faults_ = faults;
+  channel_.sock_.set_fault_injector(std::move(faults));
 }
 
-Status RemoteDatabaseClient::Reconnect(int max_attempts) {
+Status TcpChannel::Reconnect(int max_attempts,
+                             const std::function<Status()>& resume) {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
   if (shutting_down_.load()) return Status::IOError("client shutting down");
   if (connected_.load()) {
@@ -96,20 +110,15 @@ Status RemoteDatabaseClient::Reconnect(int max_attempts) {
   }
   if (reader_.joinable()) reader_.join();
   // The dead session's copy registrations died with it, so cached copies
-  // are no longer protected by callbacks: drop them all (silently — the
-  // new session never registered them, so no NoteEvicted).
-  cache_.set_eviction_callback(EvictionCallback());
-  cache_.Clear();
-  {
-    std::lock_guard<std::mutex> lock(read_sets_mu_);
-    read_sets_.clear();
-  }
+  // are no longer protected by callbacks: drop them all, with the read
+  // sets of its transactions.
+  DropSession();
   int64_t backoff = std::max<int64_t>(opts_.reconnect_backoff_ms, 1);
   const int64_t backoff_cap = std::max<int64_t>(
       opts_.reconnect_backoff_cap_ms, backoff);
   // Deterministic per client and per reconnect episode, so tests replay
   // exactly while distinct clients still spread their re-dials.
-  Rng jitter_rng(id_ * 0x9E3779B97F4A7C15ULL + reconnects_.Get() + 1);
+  Rng jitter_rng(client_.id() * 0x9E3779B97F4A7C15ULL + reconnects_.Get() + 1);
   // An Overloaded rejection's retry-after hint floors the first sleep: the
   // server told us when it wants to hear from us again.
   const int64_t hint = retry_after_hint_ms_.load(std::memory_order_relaxed);
@@ -130,7 +139,7 @@ Status RemoteDatabaseClient::Reconnect(int max_attempts) {
     if (!fresh.ok()) {
       last = fresh.status();
       IDBA_LOG_FIELDS(LogLevel::kWarn, "client", "reconnect attempt failed",
-                      {{"client", std::to_string(id_)},
+                      {{"client", std::to_string(client_.id())},
                        {"attempt", std::to_string(attempt + 1)},
                        {"error", last.ToString()}});
       continue;
@@ -144,12 +153,11 @@ Status RemoteDatabaseClient::Reconnect(int max_attempts) {
     connected_.store(true);
     reader_ = std::thread([this] { ReaderLoop(); });
     last = Hello();
-    if (last.ok()) last = ReplayDisplayLocks();
+    if (last.ok()) last = resume();
     if (last.ok()) {
-      if (opts_.report_evictions) InstallEvictionCallback();
       reconnects_.Add();
       IDBA_LOG_FIELDS(LogLevel::kWarn, "client", "reconnected",
-                      {{"client", std::to_string(id_)},
+                      {{"client", std::to_string(client_.id())},
                        {"attempts", std::to_string(attempt + 1)}});
       return Status::OK();
     }
@@ -167,17 +175,15 @@ Status RemoteDatabaseClient::Reconnect(int max_attempts) {
 // Transport plumbing
 // ---------------------------------------------------------------------------
 
-Status RemoteDatabaseClient::Hello() {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutU64(id_);
-  enc.PutU8(static_cast<uint8_t>(opts_.consistency));
-  // Announce our wire version as a trailing byte; v1 servers ignore it.
-  enc.PutU8(wire::kWireVersion);
+Status TcpChannel::Hello() {
+  // Our wire version goes last as a trailing byte; v1 servers ignore it.
   std::vector<uint8_t> reply;
   size_t at = 0;
-  IDBA_RETURN_NOT_OK(
-      Call(wire::Method::kHello, body, &reply, &at, /*count_rpc=*/false));
+  IDBA_RETURN_NOT_OK(Call(
+      wire::Method::kHello,
+      Body(client_.id(), static_cast<uint8_t>(opts_.consistency),
+           wire::kWireVersion),
+      /*count_rpc=*/false, &reply, &at));
   Decoder dec(reply.data() + at, reply.size() - at);
   // Decode into a fresh catalog and swap: on Reconnect() the snapshot
   // *replaces* the old one (the server's catalog may have grown while we
@@ -194,10 +200,9 @@ Status RemoteDatabaseClient::Hello() {
   return Status::OK();
 }
 
-Status RemoteDatabaseClient::Call(wire::Method method,
-                                  const std::vector<uint8_t>& body,
-                                  std::vector<uint8_t>* reply, size_t* body_at,
-                                  bool count_rpc) {
+Status TcpChannel::Call(wire::Method method, const std::vector<uint8_t>& body,
+                        bool count_rpc, std::vector<uint8_t>* reply,
+                        size_t* body_at) {
   if (!connected_.load()) return Status::IOError("not connected");
 
   // Root span for this API call (child span when already inside a trace,
@@ -228,7 +233,7 @@ Status RemoteDatabaseClient::Call(wire::Method method,
     wire::EncodeTraceInfo(trace, &enc);
   }
   enc.PutU8(static_cast<uint8_t>(method));
-  enc.PutI64(clock_.Now());
+  enc.PutI64(client_.clock().Now());
   payload.insert(payload.end(), body.begin(), body.end());
   const int64_t t_serialized = obs::NowUs();
 
@@ -289,7 +294,7 @@ Status RemoteDatabaseClient::Call(wire::Method method,
   IDBA_RETURN_NOT_OK(wire::DecodeStatus(&dec, &remote));
   VTime completion = 0;
   IDBA_RETURN_NOT_OK(dec.GetI64(&completion));
-  clock_.Observe(completion);
+  client_.clock().Observe(completion);
   if (remote.IsOverloaded()) {
     // Admission-control rejection: the body is a retry-after hint (varint
     // ms). Stash it for retry loops (retry_after_hint_ms()).
@@ -302,9 +307,11 @@ Status RemoteDatabaseClient::Call(wire::Method method,
                                  std::memory_order_relaxed);
     }
   }
-  if (count_rpc) rpcs_.Add();
-  *body_at = dec.position();
-  *reply = std::move(call.payload);
+  if (count_rpc) CountRoundTrip();
+  if (reply != nullptr) {
+    *body_at = dec.position();
+    *reply = std::move(call.payload);
+  }
   const int64_t t_decoded = obs::NowUs();
 
   // Decomposition histograms: serialize / network / queue / execute /
@@ -350,14 +357,14 @@ Status RemoteDatabaseClient::Call(wire::Method method,
   return remote;
 }
 
-void RemoteDatabaseClient::SendOneWay(wire::Method method,
-                                      const std::vector<uint8_t>& body) {
+void TcpChannel::SendOneWay(wire::Method method,
+                            const std::vector<uint8_t>& body) {
   if (!connected_.load() || shutting_down_.load()) return;
   std::vector<uint8_t> payload;
   payload.reserve(body.size() + 16);
   Encoder enc(&payload);
   enc.PutU8(static_cast<uint8_t>(method));
-  enc.PutI64(clock_.Now());
+  enc.PutI64(client_.clock().Now());
   payload.insert(payload.end(), body.begin(), body.end());
   uint64_t seq = 0;
   {
@@ -368,7 +375,7 @@ void RemoteDatabaseClient::SendOneWay(wire::Method method,
                          &bytes_out_);
 }
 
-void RemoteDatabaseClient::FailAllPending(const Status& st) {
+void TcpChannel::FailAllPending(const Status& st) {
   const bool shutdown = shutting_down_.load();
   std::lock_guard<std::mutex> lock(calls_mu_);
   for (auto& [seq, call] : pending_) {
@@ -389,7 +396,7 @@ void RemoteDatabaseClient::FailAllPending(const Status& st) {
   calls_cv_.notify_all();
 }
 
-void RemoteDatabaseClient::HeartbeatLoop() {
+void TcpChannel::HeartbeatLoop() {
   const auto interval =
       std::chrono::milliseconds(opts_.heartbeat_interval_ms);
   std::unique_lock<std::mutex> lock(hb_mu_);
@@ -399,17 +406,14 @@ void RemoteDatabaseClient::HeartbeatLoop() {
     if (!connected_.load()) continue;  // Reconnect() is the user's call
     lock.unlock();
     heartbeats_.Add();
-    std::vector<uint8_t> reply;
-    size_t at = 0;
-    Status st =
-        Call(wire::Method::kPing, {}, &reply, &at, /*count_rpc=*/false);
+    Status st = Call(wire::Method::kPing, {}, /*count_rpc=*/false);
     if (st.IsTimedOut()) {
       // Half-open connection: the peer stopped answering but TCP has not
       // noticed. Kill the socket so every blocked caller fails fast and
       // connected() reads false.
       IDBA_LOG_FIELDS(LogLevel::kWarn, "client",
                       "heartbeat missed; marking connection dead",
-                      {{"client", std::to_string(id_)}});
+                      {{"client", std::to_string(client_.id())}});
       connected_.store(false);
       sock_.ShutdownBoth();
     }
@@ -417,7 +421,7 @@ void RemoteDatabaseClient::HeartbeatLoop() {
   }
 }
 
-void RemoteDatabaseClient::ReaderLoop() {
+void TcpChannel::ReaderLoop() {
   Status st;
   for (;;) {
     wire::FrameHeader header;
@@ -465,7 +469,7 @@ void RemoteDatabaseClient::ReaderLoop() {
             oids.reserve(msg->updated.size() + msg->erased.size());
             for (Oid oid : msg->updated) oids.push_back(oid.value);
             for (Oid oid : msg->erased) oids.push_back(oid.value);
-            auditor.OnNotifyReceived(id_, oids.data(), oids.size(),
+            auditor.OnNotifyReceived(client_.id(), oids.data(), oids.size(),
                                      msg->commit_vtime, env.trace_id);
           }
           env.msg = std::move(msg);
@@ -477,7 +481,7 @@ void RemoteDatabaseClient::ReaderLoop() {
           auto msg = std::make_shared<ResyncNotifyMessage>();
           if (!ResyncNotifyMessage::DecodeFrom(&dec, msg.get()).ok()) break;
           resyncs_received_.Add();
-          cache_.Clear();
+          client_.cache().Clear();
           // Confirm before the pump refetches anything: the ack goes out on
           // this (reader) thread, so any refetch RPC a pump or user thread
           // issues afterwards reaches the server behind it — copies those
@@ -491,7 +495,7 @@ void RemoteDatabaseClient::ReaderLoop() {
           env.msg = std::move(msg);
         }
         notify_frames_.Add();
-        inbox_.Deliver(std::move(env));
+        client_.inbox().Deliver(std::move(env));
         break;
       }
       case wire::FrameType::kCallback: {
@@ -511,9 +515,9 @@ void RemoteDatabaseClient::ReaderLoop() {
           // An invalidation proves `version` committed: raise the
           // auditor's coherence floor (~0 marks an erase — no floor).
           if (version != ~0ULL) {
-            obs::GlobalAuditor().OnVersionCommitted(id_, oid, version);
+            obs::GlobalAuditor().OnVersionCommitted(client_.id(), oid, version);
           }
-          cache_.InvalidateCached(Oid(oid), version);
+          client_.cache().InvalidateCached(Oid(oid), version);
           callback_frames_.Add();
         }
         (void)sock_.WriteFrame(write_mu_, wire::FrameType::kCallbackAck,
@@ -530,26 +534,35 @@ void RemoteDatabaseClient::ReaderLoop() {
   // Keep the inbox open across a disconnect: a Reconnect()ed session keeps
   // using it, and the DLC pump tolerates an idle one. It closes for good
   // at destruction.
-  if (shutting_down_.load()) inbox_.Close();
+  if (shutting_down_.load()) client_.inbox().Close();
 }
 
 // ---------------------------------------------------------------------------
-// ClientApi
+// ServerChannel
 // ---------------------------------------------------------------------------
 
-Result<ClassId> RemoteDatabaseClient::DefineClass(const std::string& name,
-                                                  ClassId base) {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutString(name);
-  enc.PutU32(base);
+
+template <typename T, typename Decode>
+Result<T> TcpChannel::CallFor(wire::Method method,
+                              const std::vector<uint8_t>& body, Decode decode,
+                              bool count_rpc) {
   std::vector<uint8_t> reply;
   size_t at = 0;
-  IDBA_RETURN_NOT_OK(Call(wire::Method::kDefineClass, body, &reply, &at,
-                          /*count_rpc=*/false));
+  IDBA_RETURN_NOT_OK(Call(method, body, count_rpc, &reply, &at));
   Decoder dec(reply.data() + at, reply.size() - at);
-  ClassId remote_id = 0;
-  IDBA_RETURN_NOT_OK(dec.GetU32(&remote_id));
+  T out{};
+  IDBA_RETURN_NOT_OK(decode(&dec, &out));
+  return out;
+}
+
+Result<ClassId> TcpChannel::DefineClass(const std::string& name,
+                                        ClassId base) {
+  IDBA_ASSIGN_OR_RETURN(
+      ClassId remote_id,
+      CallFor<ClassId>(
+          wire::Method::kDefineClass, Body(name, base),
+          [](Decoder* dec, ClassId* out) { return dec->GetU32(out); },
+          /*count_rpc=*/false));
   // Replay into the local catalog so class ids (and object layouts) match
   // the server's exactly.
   IDBA_ASSIGN_OR_RETURN(ClassId local_id, schema_.DefineClass(name, base));
@@ -561,290 +574,145 @@ Result<ClassId> RemoteDatabaseClient::DefineClass(const std::string& name,
   return remote_id;
 }
 
-Status RemoteDatabaseClient::AddAttribute(ClassId cls, const std::string& name,
-                                          ValueType type,
-                                          Value default_value) {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutU32(cls);
-  enc.PutString(name);
-  enc.PutU8(static_cast<uint8_t>(type));
-  default_value.EncodeTo(&enc);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  IDBA_RETURN_NOT_OK(Call(wire::Method::kAddAttribute, body, &reply, &at,
+Status TcpChannel::AddAttribute(ClassId cls, const std::string& name,
+                                ValueType type, Value default_value) {
+  IDBA_RETURN_NOT_OK(Call(wire::Method::kAddAttribute,
+                          Body(cls, name, type, default_value),
                           /*count_rpc=*/false));
   return schema_.AddAttribute(cls, name, type, std::move(default_value));
 }
 
-Result<TxnId> RemoteDatabaseClient::BeginTxn() {
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  IDBA_RETURN_NOT_OK(
-      Call(wire::Method::kBegin, {}, &reply, &at, /*count_rpc=*/false));
-  Decoder dec(reply.data() + at, reply.size() - at);
-  uint64_t txn = 0;
-  IDBA_RETURN_NOT_OK(dec.GetU64(&txn));
+Result<TxnId> TcpChannel::Begin() {
+  IDBA_ASSIGN_OR_RETURN(uint64_t txn,
+                        CallFor<uint64_t>(wire::Method::kBegin, {}, DecodeU64,
+                                          /*count_rpc=*/false));
   if (txn == 0) return Status::Internal("server assigned txn id 0");
   return txn;
 }
 
-void RemoteDatabaseClient::RecordRead(TxnId txn, const DatabaseObject& obj) {
-  std::lock_guard<std::mutex> lock(read_sets_mu_);
-  read_sets_[txn].emplace_back(obj.oid(), obj.version());
+Result<DatabaseObject> TcpChannel::Fetch(TxnId txn, Oid oid) {
+  return CallFor<DatabaseObject>(wire::Method::kFetch, Body(txn, oid),
+                                 DatabaseObject::DecodeFrom);
 }
 
-Result<DatabaseObject> RemoteDatabaseClient::Read(TxnId txn, Oid oid) {
-  if (auto cached = cache_.Get(oid)) {
-    if (opts_.consistency == ConsistencyMode::kDetection) {
-      RecordRead(txn, *cached);
-      return *cached;
-    }
-    // Avoidance: valid copy, but an update transaction needs the S lock —
-    // lock-only round trip, then re-check (the copy may have been called
-    // back while we waited; with S held a present copy is current).
-    std::vector<uint8_t> body;
-    Encoder enc(&body);
-    enc.PutU64(txn);
-    enc.PutU64(oid.value);
-    std::vector<uint8_t> reply;
-    size_t at = 0;
-    IDBA_RETURN_NOT_OK(
-        Call(wire::Method::kLockForRead, body, &reply, &at));
-    if (auto still = cache_.Get(oid)) return *still;
-  }
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  wire::Method method;
-  if (opts_.consistency == ConsistencyMode::kDetection) {
-    // Optimistic read: no S lock, copy untracked by the server.
-    method = wire::Method::kFetchCurrent;
-    enc.PutU64(oid.value);
-    enc.PutU8(0);
-  } else {
-    method = wire::Method::kFetch;
-    enc.PutU64(txn);
-    enc.PutU64(oid.value);
-  }
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  IDBA_RETURN_NOT_OK(Call(method, body, &reply, &at));
-  Decoder dec(reply.data() + at, reply.size() - at);
-  DatabaseObject obj;
-  IDBA_RETURN_NOT_OK(DatabaseObject::DecodeFrom(&dec, &obj));
-  if (opts_.consistency == ConsistencyMode::kDetection) RecordRead(txn, obj);
-  cache_.Put(obj);
-  return obj;
+Result<DatabaseObject> TcpChannel::FetchCurrent(Oid oid, bool register_copy) {
+  return CallFor<DatabaseObject>(wire::Method::kFetchCurrent,
+                                 Body(oid, register_copy),
+                                 DatabaseObject::DecodeFrom);
 }
 
-Result<DatabaseObject> RemoteDatabaseClient::ReadCurrent(Oid oid) {
-  if (auto cached = cache_.Get(oid)) return *cached;
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutU64(oid.value);
-  enc.PutU8(opts_.consistency == ConsistencyMode::kAvoidance ? 1 : 0);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  IDBA_RETURN_NOT_OK(Call(wire::Method::kFetchCurrent, body, &reply, &at));
-  Decoder dec(reply.data() + at, reply.size() - at);
-  DatabaseObject obj;
-  IDBA_RETURN_NOT_OK(DatabaseObject::DecodeFrom(&dec, &obj));
-  cache_.Put(obj);
-  return obj;
+Status TcpChannel::LockForRead(TxnId txn, Oid oid) {
+  return Call(wire::Method::kLockForRead, Body(txn, oid));
 }
 
-Status RemoteDatabaseClient::Write(TxnId txn, DatabaseObject obj) {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutU64(txn);
-  obj.EncodeTo(&enc);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  return Call(wire::Method::kPut, body, &reply, &at);
+Status TcpChannel::Put(TxnId txn, DatabaseObject obj) {
+  return Call(wire::Method::kPut, Body(txn, obj));
 }
 
-Status RemoteDatabaseClient::Insert(TxnId txn, DatabaseObject obj) {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutU64(txn);
-  obj.EncodeTo(&enc);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  return Call(wire::Method::kInsert, body, &reply, &at);
+Status TcpChannel::Insert(TxnId txn, DatabaseObject obj) {
+  return Call(wire::Method::kInsert, Body(txn, obj));
 }
 
-Status RemoteDatabaseClient::EraseObject(TxnId txn, Oid oid) {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutU64(txn);
-  enc.PutU64(oid.value);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  return Call(wire::Method::kErase, body, &reply, &at);
+Status TcpChannel::Erase(TxnId txn, Oid oid) {
+  return Call(wire::Method::kErase, Body(txn, oid));
 }
 
-Result<CommitResult> RemoteDatabaseClient::Commit(TxnId txn) {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutU64(txn);
-  wire::Method method = wire::Method::kCommit;
-  std::vector<std::pair<Oid, uint64_t>> read_set;
-  if (opts_.consistency == ConsistencyMode::kDetection) {
-    {
-      std::lock_guard<std::mutex> lock(read_sets_mu_);
-      auto it = read_sets_.find(txn);
-      if (it != read_sets_.end()) {
-        read_set = std::move(it->second);
-        read_sets_.erase(it);
-      }
-    }
-    wire::EncodeReadSet(read_set, &enc);
-    method = wire::Method::kCommitValidated;
-  }
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  Status st = Call(method, body, &reply, &at);
-  if (!st.ok()) {
-    if (st.IsAborted() && method == wire::Method::kCommitValidated) {
-      validation_aborts_.Add();
-      // Our optimistic copies proved stale; drop them so a retry
-      // re-fetches current images.
-      for (const auto& [oid, version] : read_set) cache_.Drop(oid);
-    }
-    return st;
-  }
-  Decoder dec(reply.data() + at, reply.size() - at);
-  CommitResult result;
-  IDBA_RETURN_NOT_OK(wire::DecodeCommitResult(&dec, &result));
-  for (const DatabaseObject& obj : result.updated) {
-    if (cache_.Contains(obj.oid())) cache_.Put(obj);
-  }
-  for (Oid oid : result.erased) cache_.Drop(oid);
-  return result;
+Result<CommitResult> TcpChannel::Commit(TxnId txn) {
+  return CallFor<CommitResult>(wire::Method::kCommit, Body(txn),
+                               wire::DecodeCommitResult);
 }
 
-Status RemoteDatabaseClient::Abort(TxnId txn) {
-  {
-    std::lock_guard<std::mutex> lock(read_sets_mu_);
-    read_sets_.erase(txn);
-  }
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutU64(txn);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  return Call(wire::Method::kAbort, body, &reply, &at);
+Result<CommitResult> TcpChannel::CommitValidated(TxnId txn,
+                                                 const ReadSet& read_set) {
+  return CallFor<CommitResult>(wire::Method::kCommitValidated,
+                               Body(txn, read_set), wire::DecodeCommitResult);
 }
 
-Result<std::vector<DatabaseObject>> RemoteDatabaseClient::ScanClass(
+Status TcpChannel::Abort(TxnId txn) {
+  return Call(wire::Method::kAbort, Body(txn));
+}
+
+Result<std::vector<DatabaseObject>> TcpChannel::ScanClass(
     ClassId cls, bool include_subclasses) {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutU32(cls);
-  enc.PutU8(include_subclasses ? 1 : 0);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  IDBA_RETURN_NOT_OK(Call(wire::Method::kScanClass, body, &reply, &at));
-  Decoder dec(reply.data() + at, reply.size() - at);
-  std::vector<DatabaseObject> objs;
-  IDBA_RETURN_NOT_OK(wire::DecodeObjectVector(&dec, &objs));
-  for (const DatabaseObject& obj : objs) cache_.Put(obj);
-  return objs;
+  return CallFor<std::vector<DatabaseObject>>(wire::Method::kScanClass,
+                                              Body(cls, include_subclasses),
+                                              wire::DecodeObjectVector);
 }
 
-Result<std::vector<DatabaseObject>> RemoteDatabaseClient::RunQuery(
+Result<std::vector<DatabaseObject>> TcpChannel::Query(
     const ObjectQuery& query) {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  query.EncodeTo(&enc);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  IDBA_RETURN_NOT_OK(Call(wire::Method::kQuery, body, &reply, &at));
-  Decoder dec(reply.data() + at, reply.size() - at);
-  std::vector<DatabaseObject> objs;
-  IDBA_RETURN_NOT_OK(wire::DecodeObjectVector(&dec, &objs));
-  for (const DatabaseObject& obj : objs) cache_.Put(obj);
-  return objs;
+  return CallFor<std::vector<DatabaseObject>>(
+      wire::Method::kQuery, Body(query), wire::DecodeObjectVector);
 }
 
-Result<Oid> RemoteDatabaseClient::NewOid() {
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  IDBA_RETURN_NOT_OK(
-      Call(wire::Method::kAllocateOid, {}, &reply, &at, /*count_rpc=*/false));
-  Decoder dec(reply.data() + at, reply.size() - at);
-  uint64_t oid = 0;
-  IDBA_RETURN_NOT_OK(dec.GetU64(&oid));
+Result<Oid> TcpChannel::AllocateOid() {
+  IDBA_ASSIGN_OR_RETURN(uint64_t oid,
+                        CallFor<uint64_t>(wire::Method::kAllocateOid, {},
+                                          DecodeU64, /*count_rpc=*/false));
   if (oid == 0) return Status::Internal("server allocated the null oid");
   return Oid(oid);
 }
 
-Result<uint64_t> RemoteDatabaseClient::LatestVersion(Oid oid) {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutU64(oid.value);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  IDBA_RETURN_NOT_OK(Call(wire::Method::kGetVersion, body, &reply, &at,
-                          /*count_rpc=*/false));
-  Decoder dec(reply.data() + at, reply.size() - at);
-  uint64_t version = 0;
-  IDBA_RETURN_NOT_OK(dec.GetU64(&version));
-  return version;
+Result<uint64_t> TcpChannel::GetVersion(Oid oid) {
+  return CallFor<uint64_t>(wire::Method::kGetVersion, Body(oid), DecodeU64,
+                           /*count_rpc=*/false);
+}
+
+void TcpChannel::NoteEvicted(Oid oid) {
+  SendOneWay(wire::Method::kNoteEvicted, Body(oid));
 }
 
 // ---------------------------------------------------------------------------
-// DisplayLockService
+// RemoteDatabaseClient
 // ---------------------------------------------------------------------------
+
+RemoteDatabaseClient::RemoteDatabaseClient(ClientId id,
+                                           const RemoteClientOptions& opts)
+    : ClientApi(id, channel_, opts), channel_(*this, opts) {}
+
+Result<std::unique_ptr<RemoteDatabaseClient>> RemoteDatabaseClient::Connect(
+    const std::string& host, uint16_t port, ClientId id,
+    RemoteClientOptions opts) {
+  std::unique_ptr<RemoteDatabaseClient> client(
+      new RemoteDatabaseClient(id, opts));
+  IDBA_RETURN_NOT_OK(client->channel_.Open(host, port));
+  return client;
+}
+
+Status RemoteDatabaseClient::Reconnect(int max_attempts) {
+  return channel_.Reconnect(max_attempts,
+                            [this] { return ReplayDisplayLocks(); });
+}
 
 Status RemoteDatabaseClient::Lock(ClientId holder, Oid oid, VTime sent_at) {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutI64(sent_at);
-  enc.PutU64(holder);
-  enc.PutU64(oid.value);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  Status st =
-      Call(wire::Method::kDlmLock, body, &reply, &at, /*count_rpc=*/false);
-  if (st.ok()) {
-    std::lock_guard<std::mutex> lock(held_mu_);
-    held_display_locks_.insert(oid);
-  }
-  return st;
-}
-
-Status RemoteDatabaseClient::Unlock(ClientId holder, Oid oid, VTime sent_at) {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutI64(sent_at);
-  enc.PutU64(holder);
-  enc.PutU64(oid.value);
-  // Dropped from the held set even if the RPC fails: the caller no longer
-  // wants notifications for this object, so a failed unlock must not be
-  // resurrected by a later Reconnect() replay.
-  {
-    std::lock_guard<std::mutex> lock(held_mu_);
-    held_display_locks_.erase(oid);
-  }
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  return Call(wire::Method::kDlmUnlock, body, &reply, &at,
-              /*count_rpc=*/false);
+  return Granted(channel_.Call(wire::Method::kDlmLock,
+                               Body(sent_at, holder, oid), false),
+                 {oid});
 }
 
 Status RemoteDatabaseClient::LockBatch(ClientId holder,
                                        const std::vector<Oid>& oids,
                                        VTime sent_at) {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutI64(sent_at);
-  enc.PutU64(holder);
-  wire::EncodeOidVector(oids, &enc);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  Status st = Call(wire::Method::kDlmLockBatch, body, &reply, &at,
-                   /*count_rpc=*/false);
+  return Granted(channel_.Call(wire::Method::kDlmLockBatch,
+                               Body(sent_at, holder, oids), false),
+                 oids);
+}
+
+Status RemoteDatabaseClient::Unlock(ClientId holder, Oid oid, VTime sent_at) {
+  Released({oid});
+  return channel_.Call(wire::Method::kDlmUnlock, Body(sent_at, holder, oid),
+                       false);
+}
+
+Status RemoteDatabaseClient::UnlockBatch(ClientId holder,
+                                         const std::vector<Oid>& oids,
+                                         VTime sent_at) {
+  Released(oids);
+  return channel_.Call(wire::Method::kDlmUnlockBatch,
+                       Body(sent_at, holder, oids), false);
+}
+
+Status RemoteDatabaseClient::Granted(Status st, const std::vector<Oid>& oids) {
   if (st.ok()) {
     std::lock_guard<std::mutex> lock(held_mu_);
     held_display_locks_.insert(oids.begin(), oids.end());
@@ -852,22 +720,12 @@ Status RemoteDatabaseClient::LockBatch(ClientId holder,
   return st;
 }
 
-Status RemoteDatabaseClient::UnlockBatch(ClientId holder,
-                                         const std::vector<Oid>& oids,
-                                         VTime sent_at) {
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutI64(sent_at);
-  enc.PutU64(holder);
-  wire::EncodeOidVector(oids, &enc);
-  {
-    std::lock_guard<std::mutex> lock(held_mu_);
-    for (Oid oid : oids) held_display_locks_.erase(oid);
-  }
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  return Call(wire::Method::kDlmUnlockBatch, body, &reply, &at,
-              /*count_rpc=*/false);
+void RemoteDatabaseClient::Released(const std::vector<Oid>& oids) {
+  // Dropped from the held set even if the RPC fails: the caller no longer
+  // wants notifications for these objects, so a failed unlock must not be
+  // resurrected by a later Reconnect() replay.
+  std::lock_guard<std::mutex> lock(held_mu_);
+  for (Oid oid : oids) held_display_locks_.erase(oid);
 }
 
 size_t RemoteDatabaseClient::held_display_locks() const {
@@ -881,36 +739,30 @@ Status RemoteDatabaseClient::ReplayDisplayLocks() {
   // watermarks. Forget everything audited about this subscriber BEFORE the
   // replayed registrations let new notifications flow — watermarks are
   // reset, not replayed, so post-restart vtimes are not false regressions.
-  obs::GlobalAuditor().OnSessionReset(id_);
+  obs::GlobalAuditor().OnSessionReset(id());
   std::vector<Oid> held;
   {
     std::lock_guard<std::mutex> lock(held_mu_);
     held.assign(held_display_locks_.begin(), held_display_locks_.end());
   }
   if (!held.empty()) {
-    std::vector<uint8_t> body;
-    Encoder enc(&body);
-    enc.PutI64(clock_.Now());
-    enc.PutU64(id_);
-    wire::EncodeOidVector(held, &enc);
-    std::vector<uint8_t> reply;
-    size_t at = 0;
-    IDBA_RETURN_NOT_OK(Call(wire::Method::kDlmReregister, body, &reply, &at,
-                            /*count_rpc=*/false));
+    IDBA_RETURN_NOT_OK(channel_.Call(wire::Method::kDlmReregister,
+                                     Body(clock().Now(), id(), held),
+                                     /*count_rpc=*/false));
   }
   // Updates committed while we were disconnected produced no notifications
   // for us: force every display through the resync path (full refetch),
   // exactly as if the server had shed our stream.
   auto msg = std::make_shared<ResyncNotifyMessage>();
-  msg->resync_vtime = clock_.Now();
+  msg->resync_vtime = clock().Now();
   Envelope env;
   env.from = 0;
-  env.to = id_;
+  env.to = id();
   env.sent_at = msg->resync_vtime;
   env.arrives_at = msg->resync_vtime;
   env.wire_bytes = msg->WireBytes();
   env.msg = std::move(msg);
-  inbox_.Deliver(std::move(env));
+  inbox().Deliver(std::move(env));
   return Status::OK();
 }
 

@@ -1,16 +1,13 @@
-// Out-of-process client: the full ClientApi surface over the TCP wire
-// protocol, plus the DisplayLockService surface forwarded to the
-// server-hosted DLM. Application code (InteractiveSession, DLC, NMS
-// workload, examples) written against ClientApi runs unchanged over this
-// or the in-process DatabaseClient.
+// The out-of-process client: ClientApi over TcpChannel, the ServerChannel
+// that speaks the wire protocol over one TCP connection, plus the
+// DisplayLockService surface forwarded to the server-hosted DLM.
 //
-// Threading: the application drives RPCs from its user thread(s); a
-// dedicated reader thread owns the receiving half of the socket and
+// Threading: the application drives RPCs from its user thread(s); the
+// channel's reader thread owns the receiving half of the socket and
 // demultiplexes
 //   RESPONSE  -> wakes the Call() waiting on that correlation id
-//   NOTIFY    -> decoded into an Envelope, delivered to inbox() (the DLC
-//                notification pump consumes it exactly like in-process)
-//   CALLBACK  -> invalidates the local ObjectCache, sends CALLBACK_ACK
+//   NOTIFY    -> decoded into an Envelope, delivered to the client's inbox
+//   CALLBACK  -> invalidates the client's ObjectCache, sends CALLBACK_ACK
 // The reader never blocks on an RPC of its own, so a server commit that
 // is waiting for this client's invalidation ack always gets it — even
 // while this client's user thread is itself blocked inside Commit().
@@ -23,24 +20,24 @@
 // with IOError, but a commit in flight fails with Status::Unknown — its
 // outcome is genuinely indeterminate (the server may have applied it
 // before the connection broke), and callers like RunTransaction must
-// decide whether re-applying is safe. Reconnect() re-dials with
-// exponential backoff, re-handshakes under the same client id, replaces
-// the schema snapshot, and drops the object cache (the dead session's
-// copy registrations are gone).
+// decide whether re-applying is safe.
 //
 // Virtual time: each request carries the client clock; each response
 // carries the virtual completion time the server's RpcMeter computed from
-// the *measured* frame sizes, which the client clock Observes. Locally
-// the client mirrors DatabaseClient exactly: avoidance cache hits inside
-// update transactions still take the lock-only round trip, detection mode
-// keeps optimistic read sets and validates at commit.
+// the *measured* frame sizes, which the client clock Observes.
+//
+// RemoteDatabaseClient owns the channel and adds only what a remote client
+// has of its own: the transport accessors, Reconnect(), and the
+// DisplayLockService with the held display locks Reconnect() replays.
 
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -53,11 +50,8 @@
 
 namespace idba {
 
-struct RemoteClientOptions {
-  ObjectCacheOptions cache;
-  ConsistencyMode consistency = ConsistencyMode::kAvoidance;
-  /// Send NoteEvicted one-way frames when the cache drops entries.
-  bool report_evictions = true;
+/// The shared client options plus the transport's own.
+struct RemoteClientOptions : ClientOptions {
   /// Cost model for client-local virtual charges (DLC dispatch CPU); must
   /// match the server's so virtual timelines agree.
   CostModelOptions cost;
@@ -79,122 +73,62 @@ struct RemoteClientOptions {
   /// [backoff/2, backoff]) so a fleet of clients dropped by one server
   /// restart does not re-dial in lockstep. Deterministic per client id.
   bool reconnect_jitter = true;
-  /// Bounds for the notification inbox (0 = unbounded, the default).
-  /// Bounding it adds the coalesce/shed/resync degradation ladder for
-  /// clients whose pump cannot keep up (see net/inbox.h).
-  InboxOptions inbox;
 };
 
-class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
+/// The ServerChannel over one TCP connection.
+class TcpChannel : public ServerChannel {
  public:
-  /// Connects, performs the Hello handshake (registering `id` with the
-  /// server) and snapshots the schema catalog.
-  static Result<std::unique_ptr<RemoteDatabaseClient>> Connect(
-      const std::string& host, uint16_t port, ClientId id,
-      RemoteClientOptions opts = {});
+  TcpChannel(ClientApi& client, const RemoteClientOptions& opts);
+  ~TcpChannel() override;
 
-  ~RemoteDatabaseClient() override;
+  /// Connects, starts the reader, performs the Hello handshake
+  /// (registering the client id with the server and snapshotting its
+  /// schema catalog) and starts the heartbeat thread.
+  Status Open(const std::string& host, uint16_t port);
 
-  RemoteDatabaseClient(const RemoteDatabaseClient&) = delete;
-  RemoteDatabaseClient& operator=(const RemoteDatabaseClient&) = delete;
+  /// See RemoteDatabaseClient::Reconnect(). `resume` runs right after a
+  /// successful handshake; its failure counts as a failed attempt.
+  Status Reconnect(int max_attempts, const std::function<Status()>& resume);
 
-  /// Re-establishes a dead connection: re-dials (with exponential
-  /// backoff across `max_attempts`), re-handshakes under the same client
-  /// id, replaces the schema snapshot with the server's current catalog,
-  /// and drops the local object cache — the old session's copy
-  /// registrations died with the old connection, so cached copies are no
-  /// longer protected by callbacks.
-  ///
-  /// Caller contract: quiesce RPC-issuing threads first (calls issued
-  /// while disconnected fail fast with IOError, but calls concurrent with
-  /// the reconnect itself are undefined), and treat any commit that ended
-  /// Status::Unknown as possibly-applied — re-run read-modify-write
-  /// bodies, never blind re-sends.
-  ///
-  /// Session recovery: if this client holds display locks, they are
-  /// replayed to the server's DLM (one idempotent DlmReregister) right
-  /// after the handshake — a *restarted* server has an empty lock table
-  /// and would otherwise silently stop notifying our views. A synthetic
-  /// RESYNC is then delivered to inbox() so the DLC refetches every
-  /// display: updates committed while we were disconnected produced no
-  /// notifications for us.
-  Status Reconnect(int max_attempts = 5);
+  /// One correlated round trip: REQUEST out, RESPONSE in, remote status
+  /// decoded, completion vtime observed. On success a non-null `*reply`
+  /// holds the response payload and `*body_at` the offset of the method
+  /// body. Returns Status::TimedOut after rpc_deadline_ms without a
+  /// response. `count_rpc` counts the call in the client's rpcs_issued().
+  Status Call(wire::Method method, const std::vector<uint8_t>& body,
+              bool count_rpc = true, std::vector<uint8_t>* reply = nullptr,
+              size_t* body_at = nullptr);
 
-  // --- ClientApi --------------------------------------------------------
-  ClientId id() const override { return id_; }
-  VirtualClock& clock() override { return clock_; }
-  Inbox& inbox() override { return inbox_; }
-  ObjectCache& cache() override { return cache_; }
+  // --- ServerChannel ------------------------------------------------------
   const SchemaCatalog& schema() const override { return schema_; }
   const CostModel& cost_model() const override { return cost_model_; }
-  ConsistencyMode consistency() const override { return opts_.consistency; }
-
-  Result<ClassId> DefineClass(const std::string& name,
-                              ClassId base = 0) override;
-  Status AddAttribute(ClassId cls, const std::string& name, ValueType type,
-                      Value default_value = Value()) override;
-
-  Result<TxnId> BeginTxn() override;
-  Result<DatabaseObject> Read(TxnId txn, Oid oid) override;
-  Result<DatabaseObject> ReadCurrent(Oid oid) override;
-  Status Write(TxnId txn, DatabaseObject obj) override;
-  Status Insert(TxnId txn, DatabaseObject obj) override;
-  Status EraseObject(TxnId txn, Oid oid) override;
-  Result<CommitResult> Commit(TxnId txn) override;
-  Status Abort(TxnId txn) override;
-  Result<std::vector<DatabaseObject>> ScanClass(
-      ClassId cls, bool include_subclasses = false) override;
-  Result<std::vector<DatabaseObject>> RunQuery(
-      const ObjectQuery& query) override;
-  Result<Oid> NewOid() override;
-  Result<uint64_t> LatestVersion(Oid oid) override;
-  uint64_t rpcs_issued() const override { return rpcs_.Get(); }
-  uint64_t validation_aborts() const override {
-    return validation_aborts_.Get();
-  }
-  /// Retry-after hint from the most recent Overloaded rejection (0 when
-  /// the server never shed one of our requests). Retry loops use it as a
-  /// backoff floor.
   int64_t retry_after_hint_ms() const override {
     return retry_after_hint_ms_.load(std::memory_order_relaxed);
   }
-
-  // --- DisplayLockService (forwarded to the server-hosted DLM) ----------
-  Status Lock(ClientId holder, Oid oid, VTime sent_at) override;
-  Status Unlock(ClientId holder, Oid oid, VTime sent_at) override;
-  Status LockBatch(ClientId holder, const std::vector<Oid>& oids,
-                   VTime sent_at) override;
-  Status UnlockBatch(ClientId holder, const std::vector<Oid>& oids,
-                     VTime sent_at) override;
-
-  // --- Transport-level metrics ------------------------------------------
-  bool connected() const { return connected_.load(); }
-  /// Wire protocol version the server announced in the Hello response
-  /// (1 = pre-trace server; trace headers are only exchanged at >= 2).
-  uint8_t server_wire_version() const {
-    return server_version_.load(std::memory_order_relaxed);
-  }
-  uint64_t bytes_sent() const { return bytes_out_.Get(); }
-  uint64_t bytes_received() const { return bytes_in_.Get(); }
-  uint64_t notifications_received() const { return notify_frames_.Get(); }
-  uint64_t callbacks_served() const { return callback_frames_.Get(); }
-  uint64_t reconnects() const { return reconnects_.Get(); }
-  uint64_t heartbeats_sent() const { return heartbeats_.Get(); }
-  /// Calls the server rejected with Status::Overloaded (admission control).
-  uint64_t overload_rejections() const { return overload_rejections_.Get(); }
-  /// Server-forced RESYNC notifications received (our notify stream was
-  /// shed; the local cache was dropped and displays told to refetch).
-  uint64_t resyncs_received() const { return resyncs_received_.Get(); }
-  /// Display locks this client currently believes it holds (the set
-  /// Reconnect() replays to a restarted server).
-  size_t held_display_locks() const;
-
-  /// Attaches a fault injector to the transport socket (tests and the
-  /// fault-tolerance experiment). Survives Reconnect().
-  void set_fault_injector(std::shared_ptr<FaultInjector> faults);
+  Result<ClassId> DefineClass(const std::string& name, ClassId base) override;
+  Status AddAttribute(ClassId cls, const std::string& name, ValueType type,
+                      Value default_value) override;
+  Result<TxnId> Begin() override;
+  Result<DatabaseObject> Fetch(TxnId txn, Oid oid) override;
+  Result<DatabaseObject> FetchCurrent(Oid oid, bool register_copy) override;
+  Status LockForRead(TxnId txn, Oid oid) override;
+  Status Put(TxnId txn, DatabaseObject obj) override;
+  Status Insert(TxnId txn, DatabaseObject obj) override;
+  Status Erase(TxnId txn, Oid oid) override;
+  Result<CommitResult> Commit(TxnId txn) override;
+  Result<CommitResult> CommitValidated(TxnId txn,
+                                       const ReadSet& read_set) override;
+  Status Abort(TxnId txn) override;
+  Result<std::vector<DatabaseObject>> ScanClass(
+      ClassId cls, bool include_subclasses) override;
+  Result<std::vector<DatabaseObject>> Query(const ObjectQuery& query) override;
+  Result<Oid> AllocateOid() override;
+  Result<uint64_t> GetVersion(Oid oid) override;
+  /// A one-way frame; dropped while disconnected.
+  void NoteEvicted(Oid oid) override;
 
  private:
-  RemoteDatabaseClient(ClientId id, RemoteClientOptions opts);
+  friend class RemoteDatabaseClient;  // reads the transport state below
 
   struct PendingCall {
     wire::Method method = wire::Method::kPing;
@@ -206,26 +140,17 @@ class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
     bool traced = false;
   };
 
-  /// One correlated round trip: REQUEST out, RESPONSE in, remote status
-  /// decoded, completion vtime observed. On success `*reply` holds the
-  /// response payload and `*body_at` the offset of the method body.
-  /// Returns Status::TimedOut after rpc_deadline_ms without a response.
-  Status Call(wire::Method method, const std::vector<uint8_t>& body,
-              std::vector<uint8_t>* reply, size_t* body_at,
-              bool count_rpc = true);
+  /// Call() whose reply body `decode(Decoder*, T*)` turns into a T.
+  template <typename T, typename Decode>
+  Result<T> CallFor(wire::Method method, const std::vector<uint8_t>& body,
+                    Decode decode, bool count_rpc = true);
   /// Fire-and-forget frame (eviction notices).
   void SendOneWay(wire::Method method, const std::vector<uint8_t>& body);
   Status Hello();
-  /// Replays held_display_locks_ to a freshly handshaken server and queues
-  /// the synthetic RESYNC. Part of Reconnect().
-  Status ReplayDisplayLocks();
   void ReaderLoop();
   void HeartbeatLoop();
   void FailAllPending(const Status& st);
-  void RecordRead(TxnId txn, const DatabaseObject& obj);
-  void InstallEvictionCallback();
 
-  ClientId id_;
   RemoteClientOptions opts_;
   CostModel cost_model_;
   std::string host_;
@@ -251,18 +176,93 @@ class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
   std::condition_variable hb_cv_;
 
   SchemaCatalog schema_;
-  ObjectCache cache_;
-  Inbox inbox_;
-  VirtualClock clock_;
-  Counter rpcs_, validation_aborts_;
   MirroredCounter bytes_in_, bytes_out_;
   Counter notify_frames_, callback_frames_;
   Counter reconnects_, heartbeats_;
   Counter overload_rejections_, resyncs_received_;
   std::atomic<int64_t> retry_after_hint_ms_{0};
+};
 
-  std::mutex read_sets_mu_;
-  std::unordered_map<TxnId, std::vector<std::pair<Oid, uint64_t>>> read_sets_;
+class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
+ public:
+  /// Connects, performs the Hello handshake (registering `id` with the
+  /// server) and snapshots the schema catalog.
+  static Result<std::unique_ptr<RemoteDatabaseClient>> Connect(
+      const std::string& host, uint16_t port, ClientId id,
+      RemoteClientOptions opts = {});
+
+  /// Re-establishes a dead connection: re-dials (with exponential
+  /// backoff across `max_attempts`), re-handshakes under the same client
+  /// id, replaces the schema snapshot with the server's current catalog,
+  /// and drops the local object cache — the old session's copy
+  /// registrations died with the old connection, so cached copies are no
+  /// longer protected by callbacks.
+  ///
+  /// Caller contract: quiesce RPC-issuing threads first (calls issued
+  /// while disconnected fail fast with IOError, but calls concurrent with
+  /// the reconnect itself are undefined), and treat any commit that ended
+  /// Status::Unknown as possibly-applied — re-run read-modify-write
+  /// bodies, never blind re-sends.
+  ///
+  /// Session recovery: if this client holds display locks, they are
+  /// replayed to the server's DLM (one idempotent DlmReregister) right
+  /// after the handshake — a *restarted* server has an empty lock table
+  /// and would otherwise silently stop notifying our views. A synthetic
+  /// RESYNC is then delivered to inbox() so the DLC refetches every
+  /// display: updates committed while we were disconnected produced no
+  /// notifications for us.
+  Status Reconnect(int max_attempts = 5);
+
+  // --- DisplayLockService (forwarded to the server-hosted DLM) ----------
+  Status Lock(ClientId holder, Oid oid, VTime sent_at) override;
+  Status Unlock(ClientId holder, Oid oid, VTime sent_at) override;
+  Status LockBatch(ClientId holder, const std::vector<Oid>& oids,
+                   VTime sent_at) override;
+  Status UnlockBatch(ClientId holder, const std::vector<Oid>& oids,
+                     VTime sent_at) override;
+
+  // --- Transport-level metrics ------------------------------------------
+  bool connected() const { return channel_.connected_.load(); }
+  /// Wire protocol version the server announced in the Hello response
+  /// (1 = pre-trace server; trace headers are only exchanged at >= 2).
+  uint8_t server_wire_version() const {
+    return channel_.server_version_.load(std::memory_order_relaxed);
+  }
+  uint64_t bytes_sent() const { return channel_.bytes_out_.Get(); }
+  uint64_t bytes_received() const { return channel_.bytes_in_.Get(); }
+  uint64_t notifications_received() const {
+    return channel_.notify_frames_.Get();
+  }
+  uint64_t callbacks_served() const { return channel_.callback_frames_.Get(); }
+  uint64_t reconnects() const { return channel_.reconnects_.Get(); }
+  uint64_t heartbeats_sent() const { return channel_.heartbeats_.Get(); }
+  /// Calls the server rejected with Status::Overloaded (admission control).
+  uint64_t overload_rejections() const {
+    return channel_.overload_rejections_.Get();
+  }
+  /// Server-forced RESYNC notifications received (our notify stream was
+  /// shed; the local cache was dropped and displays told to refetch).
+  uint64_t resyncs_received() const { return channel_.resyncs_received_.Get(); }
+  /// Display locks this client currently believes it holds (the set
+  /// Reconnect() replays to a restarted server).
+  size_t held_display_locks() const;
+
+  /// Attaches a fault injector to the transport socket (tests and the
+  /// fault-tolerance experiment). Survives Reconnect().
+  void set_fault_injector(std::shared_ptr<FaultInjector> faults);
+
+ private:
+  RemoteDatabaseClient(ClientId id, const RemoteClientOptions& opts);
+
+  /// Enters `oids` into the held set if the lock request `st` succeeded.
+  Status Granted(Status st, const std::vector<Oid>& oids);
+  /// Leaves `oids` out of the held set (before the unlock request).
+  void Released(const std::vector<Oid>& oids);
+  /// Replays held_display_locks_ to a freshly handshaken server and queues
+  /// the synthetic RESYNC. Part of Reconnect().
+  Status ReplayDisplayLocks();
+
+  TcpChannel channel_;
 
   /// Display locks successfully granted to this client and not yet
   /// released — the server-side state Reconnect() must rebuild after a

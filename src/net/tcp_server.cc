@@ -1030,7 +1030,7 @@ Status TransportServer::ExecuteMethod(Connection* conn, wire::Method method,
   }
   const ClientId cid = conn->client_id.load(std::memory_order_relaxed);
   // Metered calls push the request's arrival into the server clock before
-  // the call executes (mirrors DatabaseClient::PreObserve), so commit hooks
+  // the call executes (as InProcessChannel::Metered does), so commit hooks
   // observe a causally correct virtual time.
   auto observe = [&] {
     *metered = true;
@@ -1168,7 +1168,7 @@ Status TransportServer::ExecuteMethod(Connection* conn, wire::Method method,
     }
     case Method::kCommitValidated: {
       uint64_t txn = 0;
-      std::vector<std::pair<Oid, uint64_t>> read_set;
+      ReadSet read_set;
       IDBA_RETURN_NOT_OK(dec->GetU64(&txn));
       IDBA_RETURN_NOT_OK(wire::DecodeReadSet(dec, &read_set));
       observe();
@@ -1201,7 +1201,7 @@ Status TransportServer::ExecuteMethod(Connection* conn, wire::Method method,
       IDBA_RETURN_NOT_OK(dec->GetU8(&register_copy));
       observe();
       Result<DatabaseObject> obj =
-          server_->FetchCurrent(cid, Oid(oid), info, register_copy != 0);
+          server_->FetchCurrent(cid, Oid(oid), register_copy != 0, info);
       IDBA_RETURN_NOT_OK(obj.status());
       obj.value().EncodeTo(body);
       return Status::OK();

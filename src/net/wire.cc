@@ -159,8 +159,7 @@ Status DecodeCommitResult(Decoder* dec, CommitResult* out) {
   return Status::OK();
 }
 
-void EncodeReadSet(const std::vector<std::pair<Oid, uint64_t>>& reads,
-                   Encoder* enc) {
+void EncodeReadSet(const ReadSet& reads, Encoder* enc) {
   enc->PutVarint(reads.size());
   for (const auto& [oid, version] : reads) {
     enc->PutU64(oid.value);
@@ -168,8 +167,7 @@ void EncodeReadSet(const std::vector<std::pair<Oid, uint64_t>>& reads,
   }
 }
 
-Status DecodeReadSet(Decoder* dec,
-                     std::vector<std::pair<Oid, uint64_t>>* out) {
+Status DecodeReadSet(Decoder* dec, ReadSet* out) {
   uint64_t n = 0;
   IDBA_RETURN_NOT_OK(dec->GetVarint(&n));
   out->clear();

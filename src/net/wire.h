@@ -188,10 +188,8 @@ void EncodeCommitResult(const CommitResult& result, Encoder* enc);
 Status DecodeCommitResult(Decoder* dec, CommitResult* out);
 
 // --- Read sets (detection-mode validation) -----------------------------
-void EncodeReadSet(const std::vector<std::pair<Oid, uint64_t>>& reads,
-                   Encoder* enc);
-Status DecodeReadSet(Decoder* dec,
-                     std::vector<std::pair<Oid, uint64_t>>* out);
+void EncodeReadSet(const ReadSet& reads, Encoder* enc);
+Status DecodeReadSet(Decoder* dec, ReadSet* out);
 
 /// Envelope metadata + payload of a NOTIFY frame, wire form of net/message.h
 /// Envelope. `kind` selects the body decoder (UpdateNotifyMessage /

@@ -25,10 +25,10 @@ void CallbackManager::UnregisterClient(ClientId client) {
   }
 }
 
-void CallbackManager::NoteCached(ClientId client, Oid oid) {
+bool CallbackManager::NoteCached(ClientId client, Oid oid) {
   std::lock_guard<std::mutex> lock(mu_);
-  copies_[oid].insert(client);
   by_client_[client].insert(oid);
+  return copies_[oid].insert(client).second;
 }
 
 void CallbackManager::NoteDropped(ClientId client, Oid oid) {

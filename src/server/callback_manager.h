@@ -45,7 +45,8 @@ class CallbackManager {
   void UnregisterClient(ClientId client);
 
   /// Records that `client` now holds a copy of `oid` (fetch reply).
-  void NoteCached(ClientId client, Oid oid);
+  /// Returns false when the copy was already registered.
+  bool NoteCached(ClientId client, Oid oid);
   /// Records that `client` dropped its copy (eviction notice).
   void NoteDropped(ClientId client, Oid oid);
 

@@ -155,15 +155,19 @@ Result<DatabaseObject> DatabaseServer::Fetch(ClientId client, TxnId txn, Oid oid
                                              ServerCallInfo* info) {
   IoStats io;
   auto obj = txn_mgr_->Get(txn, oid, &io);
-  if (info != nullptr) {
-    info->request_bytes = RequestHeaderBytes() + 8;
-    info->response_bytes =
-        RequestHeaderBytes() +
-        (obj.ok() ? static_cast<int64_t>(obj.value().WireBytes()) : 0);
-    info->page_misses = io.page_misses;
-  }
+  NoteObjectReply(obj, io, info);
   if (obj.ok()) callbacks_.NoteCached(client, oid);
   return obj;
+}
+
+void DatabaseServer::NoteObjectReply(const Result<DatabaseObject>& obj,
+                                     const IoStats& io, ServerCallInfo* info) {
+  if (info == nullptr) return;
+  info->request_bytes = RequestHeaderBytes() + 8;
+  info->response_bytes =
+      RequestHeaderBytes() +
+      (obj.ok() ? static_cast<int64_t>(obj.value().WireBytes()) : 0);
+  info->page_misses = io.page_misses;
 }
 
 Status DatabaseServer::LockForRead(ClientId client, TxnId txn, Oid oid,
@@ -177,25 +181,33 @@ Status DatabaseServer::LockForRead(ClientId client, TxnId txn, Oid oid,
 }
 
 Result<DatabaseObject> DatabaseServer::FetchCurrent(ClientId client, Oid oid,
-                                                    ServerCallInfo* info,
-                                                    bool register_copy) {
+                                                    bool register_copy,
+                                                    ServerCallInfo* info) {
   IoStats io;
-  auto obj = heap_->Read(oid, &io);
-  if (info != nullptr) {
-    info->request_bytes = RequestHeaderBytes() + 8;
-    info->response_bytes =
-        RequestHeaderBytes() +
-        (obj.ok() ? static_cast<int64_t>(obj.value().WireBytes()) : 0);
-    info->page_misses = io.page_misses;
-  }
-  if (obj.ok() && register_copy) callbacks_.NoteCached(client, oid);
+  auto obj = ReadRegistered(client, oid, &io, register_copy);
+  NoteObjectReply(obj, io, info);
   return obj;
 }
 
-Result<CommitResult> DatabaseServer::CommitValidated(
-    ClientId client, TxnId txn,
-    const std::vector<std::pair<Oid, uint64_t>>& read_set,
-    ServerCallInfo* info) {
+Result<DatabaseObject> DatabaseServer::ReadRegistered(ClientId client, Oid oid,
+                                                      IoStats* io,
+                                                      bool register_copy,
+                                                      bool* fresh) {
+  // Register before reading. A commit's callback hook runs after its heap
+  // write: if the hook ran before this registration, the read below sees
+  // the commit's image; otherwise the hook calls this copy back. Reading
+  // first would leave a window where neither holds and a stale copy stays
+  // registered with no callback coming.
+  const bool noted = register_copy && callbacks_.NoteCached(client, oid);
+  auto obj = heap_->Read(oid, io);
+  if (noted && !obj.ok()) callbacks_.NoteDropped(client, oid);
+  if (fresh != nullptr) *fresh = noted;
+  return obj;
+}
+
+Result<CommitResult> DatabaseServer::CommitValidated(ClientId client, TxnId txn,
+                                                     const ReadSet& read_set,
+                                                     ServerCallInfo* info) {
   IoStats io;
   Status validation = txn_mgr_->ValidateReads(txn, read_set, &io);
   if (!validation.ok()) {
@@ -252,36 +264,22 @@ Status DatabaseServer::Erase(ClientId client, TxnId txn, Oid oid,
 
 Result<std::vector<DatabaseObject>> DatabaseServer::ScanClass(
     ClientId client, ClassId cls, bool include_subclasses, ServerCallInfo* info) {
-  std::vector<ClassId> classes;
-  if (include_subclasses) {
-    for (ClassId c = 1; c <= schema_.class_count(); ++c) {
-      if (schema_.IsA(c, cls)) classes.push_back(c);
-    }
-  } else {
-    classes.push_back(cls);
-  }
-  std::vector<DatabaseObject> out;
-  IoStats io;
-  int64_t bytes = 0;
-  for (ClassId c : classes) {
-    IDBA_ASSIGN_OR_RETURN(std::vector<Oid> oids, heap_->ScanClass(c));
-    for (Oid oid : oids) {
-      IDBA_ASSIGN_OR_RETURN(DatabaseObject obj, heap_->Read(oid, &io));
-      bytes += static_cast<int64_t>(obj.WireBytes());
-      callbacks_.NoteCached(client, oid);
-      out.push_back(std::move(obj));
-    }
-  }
-  if (info != nullptr) {
-    info->request_bytes = RequestHeaderBytes() + 8;
-    info->response_bytes = RequestHeaderBytes() + bytes;
-    info->page_misses = io.page_misses;
-  }
-  return out;
+  ObjectQuery all;  // no conjuncts: every object matches
+  all.cls = cls;
+  all.include_subclasses = include_subclasses;
+  return ReadMatching(client, all, RequestHeaderBytes() + 8, info);
 }
 
 Result<std::vector<DatabaseObject>> DatabaseServer::ExecuteQuery(
     ClientId client, const ObjectQuery& query, ServerCallInfo* info) {
+  return ReadMatching(
+      client, query,
+      RequestHeaderBytes() + static_cast<int64_t>(query.WireBytes()), info);
+}
+
+Result<std::vector<DatabaseObject>> DatabaseServer::ReadMatching(
+    ClientId client, const ObjectQuery& query, int64_t request_bytes,
+    ServerCallInfo* info) {
   std::vector<ClassId> classes;
   if (query.include_subclasses) {
     for (ClassId c = 1; c <= schema_.class_count(); ++c) {
@@ -296,16 +294,19 @@ Result<std::vector<DatabaseObject>> DatabaseServer::ExecuteQuery(
   for (ClassId c : classes) {
     IDBA_ASSIGN_OR_RETURN(std::vector<Oid> oids, heap_->ScanClass(c));
     for (Oid oid : oids) {
-      IDBA_ASSIGN_OR_RETURN(DatabaseObject obj, heap_->Read(oid, &io));
-      if (!query.Matches(schema_, obj)) continue;
+      bool fresh = false;
+      IDBA_ASSIGN_OR_RETURN(DatabaseObject obj,
+                            ReadRegistered(client, oid, &io, true, &fresh));
+      if (!query.Matches(schema_, obj)) {
+        if (fresh) callbacks_.NoteDropped(client, oid);
+        continue;
+      }
       bytes += static_cast<int64_t>(obj.WireBytes());
-      callbacks_.NoteCached(client, oid);
       out.push_back(std::move(obj));
     }
   }
   if (info != nullptr) {
-    info->request_bytes =
-        RequestHeaderBytes() + static_cast<int64_t>(query.WireBytes());
+    info->request_bytes = request_bytes;
     info->response_bytes = RequestHeaderBytes() + bytes;
     info->page_misses = io.page_misses;
   }

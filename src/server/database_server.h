@@ -86,7 +86,7 @@ class DatabaseServer {
   /// Lock-only round trip: grants the transaction an S lock so a cached
   /// copy may be used inside an update transaction (no data travels).
   /// Lock caching is not implemented, so this costs a (small) message —
-  /// see DatabaseClient::Read.
+  /// see ClientApi::Read.
   Status LockForRead(ClientId client, TxnId txn, Oid oid, ServerCallInfo* info);
 
   /// Fetches the current committed image without transactional locking
@@ -96,16 +96,14 @@ class DatabaseServer {
   /// copies the server deliberately does not track (§3.3: "detection-based
   /// protocols allow stale data to reside in a client's main memory").
   Result<DatabaseObject> FetchCurrent(ClientId client, Oid oid,
-                                      ServerCallInfo* info,
-                                      bool register_copy = true);
+                                      bool register_copy, ServerCallInfo* info);
 
   /// Detection-mode commit: validates the client's optimistic read set
   /// (S locks + version checks) before committing; aborts the transaction
   /// and returns Aborted on any stale read.
-  Result<CommitResult> CommitValidated(
-      ClientId client, TxnId txn,
-      const std::vector<std::pair<Oid, uint64_t>>& read_set,
-      ServerCallInfo* info);
+  Result<CommitResult> CommitValidated(ClientId client, TxnId txn,
+                                       const ReadSet& read_set,
+                                       ServerCallInfo* info);
 
   Status Put(ClientId client, TxnId txn, DatabaseObject obj, ServerCallInfo* info);
   Status Insert(ClientId client, TxnId txn, DatabaseObject obj, ServerCallInfo* info);
@@ -169,6 +167,20 @@ class DatabaseServer {
 
  private:
   void WireHooks();
+  /// Fills `info` for a one-object request and its reply.
+  static void NoteObjectReply(const Result<DatabaseObject>& obj,
+                              const IoStats& io, ServerCallInfo* info);
+  /// Degree-0 read of `oid` for `client`, registering the copy (when
+  /// `register_copy`) before the heap read and undoing that on a failed
+  /// read. `*fresh` tells whether this call made the registration.
+  Result<DatabaseObject> ReadRegistered(ClientId client, Oid oid, IoStats* io,
+                                        bool register_copy,
+                                        bool* fresh = nullptr);
+  /// The degree-0 objects matching `query`, each registered as a copy.
+  Result<std::vector<DatabaseObject>> ReadMatching(ClientId client,
+                                                   const ObjectQuery& query,
+                                                   int64_t request_bytes,
+                                                   ServerCallInfo* info);
   static int64_t RequestHeaderBytes() { return 32; }
 
   DatabaseServerOptions opts_;

@@ -67,8 +67,8 @@ Status TxnManager::LockRead(TxnId txn, Oid oid) {
   return locks_.Lock(txn, oid, LockMode::kS);
 }
 
-Status TxnManager::ValidateReads(
-    TxnId txn, const std::vector<std::pair<Oid, uint64_t>>& reads, IoStats* io) {
+Status TxnManager::ValidateReads(TxnId txn, const ReadSet& reads,
+                                 IoStats* io) {
   IDBA_ASSIGN_OR_RETURN(Txn * t, FindActive(txn));
   (void)t;
   for (const auto& [oid, version] : reads) {
@@ -135,12 +135,18 @@ Status TxnManager::FailCommit(TxnId txn, Txn* t, Status cause) {
   (void)wal_->Append(std::move(rec));
   if (abort_hook_) abort_hook_(txn);
   locks_.ReleaseAll(txn);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    t->state = TxnState::kAborted;
-  }
+  Finish(t, TxnState::kAborted);
   aborts_.Add();
   return cause;
+}
+
+void TxnManager::Finish(Txn* t, TxnState state) {
+  std::lock_guard<std::mutex> lock(mu_);
+  t->state = state;
+  // Only the state outlives the transaction (GetState); its write set and
+  // after-images are released.
+  std::vector<PendingWrite>().swap(t->writes);
+  std::unordered_map<Oid, size_t>().swap(t->last_write);
 }
 
 Result<CommitResult> TxnManager::Commit(TxnId txn) {
@@ -238,10 +244,7 @@ Result<CommitResult> TxnManager::Commit(TxnId txn) {
     }
     if (!apply.ok()) {
       locks_.ReleaseAll(txn);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        t->state = TxnState::kCommitted;  // durably committed; heap diverged
-      }
+      Finish(t, TxnState::kCommitted);  // durably committed; heap diverged
       commits_.Add();
       return apply;
     }
@@ -255,10 +258,7 @@ Result<CommitResult> TxnManager::Commit(TxnId txn) {
 
   // 5. Release locks, mark committed.
   locks_.ReleaseAll(txn);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    t->state = TxnState::kCommitted;
-  }
+  Finish(t, TxnState::kCommitted);
   commits_.Add();
   return result;
 }
@@ -271,10 +271,7 @@ Status TxnManager::Abort(TxnId txn) {
   IDBA_RETURN_NOT_OK(wal_->Append(std::move(rec)).status());
   if (abort_hook_) abort_hook_(txn);
   locks_.ReleaseAll(txn);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    t->state = TxnState::kAborted;
-  }
+  Finish(t, TxnState::kAborted);
   aborts_.Add();
   return Status::OK();
 }

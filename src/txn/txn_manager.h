@@ -17,6 +17,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -29,6 +30,9 @@
 namespace idba {
 
 enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
+
+/// (oid, version) pairs a detection-mode transaction read optimistically.
+using ReadSet = std::vector<std::pair<Oid, uint64_t>>;
 
 /// What a commit changed — input for cache callbacks and DLM notification.
 struct CommitResult {
@@ -81,9 +85,7 @@ class TxnManager {
   /// client read optimistically from its cache is still current, taking S
   /// locks so the validation holds through commit. Returns Aborted on any
   /// stale read (the caller then aborts the transaction).
-  Status ValidateReads(TxnId txn,
-                       const std::vector<std::pair<Oid, uint64_t>>& reads,
-                       IoStats* io = nullptr);
+  Status ValidateReads(TxnId txn, const ReadSet& reads, IoStats* io = nullptr);
 
   /// Buffers an update of an existing object (X lock).
   Status Put(TxnId txn, DatabaseObject obj);
@@ -149,6 +151,8 @@ class TxnManager {
   /// here (the pre-group-commit behaviour) hung every later reader of the
   /// transaction's OIDs forever.
   Status FailCommit(TxnId txn, Txn* t, Status cause);
+  /// Marks `t` committed or aborted and releases its write set.
+  void Finish(Txn* t, TxnState state);
 
   HeapStore* heap_;
   Wal* wal_;

@@ -1,34 +1,40 @@
 #include <gtest/gtest.h>
 
 #include "client/database_client.h"
+#include "client_backends.h"
 
 namespace idba {
 namespace {
 
+ClassId DefineLink(SchemaCatalog* schema) {
+  ClassId link = schema->DefineClass("Link").value();
+  EXPECT_TRUE(
+      schema->AddAttribute(link, "Utilization", ValueType::kDouble, Value(0.0))
+          .ok());
+  EXPECT_TRUE(schema->AddAttribute(link, "Name", ValueType::kString).ok());
+  return link;
+}
+
+Oid SeedLinkVia(ClientApi* writer, ClassId link, double util) {
+  TxnId t = writer->Begin();
+  Oid oid = writer->AllocateOid();
+  DatabaseObject obj(oid, link, 2);
+  obj.Set(0, Value(util));
+  obj.Set(1, Value("link"));
+  EXPECT_TRUE(writer->Insert(t, std::move(obj)).ok());
+  EXPECT_TRUE(writer->Commit(t).ok());
+  return oid;
+}
+
 class ClientServerTest : public ::testing::Test {
  protected:
   ClientServerTest() {
-    link_ = server_.schema().DefineClass("Link").value();
-    EXPECT_TRUE(server_.schema()
-                    .AddAttribute(link_, "Utilization", ValueType::kDouble,
-                                  Value(0.0))
-                    .ok());
-    EXPECT_TRUE(
-        server_.schema().AddAttribute(link_, "Name", ValueType::kString).ok());
+    link_ = DefineLink(&server_.schema());
     a_ = std::make_unique<DatabaseClient>(&server_, 100, &meter_, &bus_);
     b_ = std::make_unique<DatabaseClient>(&server_, 101, &meter_, &bus_);
   }
 
-  Oid SeedLink(double util) {
-    TxnId t = a_->Begin();
-    Oid oid = a_->AllocateOid();
-    DatabaseObject obj(oid, link_, 2);
-    obj.Set(0, Value(util));
-    obj.Set(1, Value("link"));
-    EXPECT_TRUE(a_->Insert(t, std::move(obj)).ok());
-    EXPECT_TRUE(a_->Commit(t).ok());
-    return oid;
-  }
+  Oid SeedLink(double util) { return SeedLinkVia(a_.get(), link_, util); }
 
   DatabaseServer server_;
   NotificationBus bus_;
@@ -38,33 +44,42 @@ class ClientServerTest : public ::testing::Test {
 };
 
 TEST_F(ClientServerTest, CachedReadsAvoidDataTransfer) {
-  Oid oid = SeedLink(0.5);
-  uint64_t rpcs_before = b_->rpcs_issued();
-  TxnId t = b_->Begin();
-  ASSERT_TRUE(b_->Read(t, oid).ok());
-  ASSERT_TRUE(b_->Commit(t).ok());
-  uint64_t after_first = b_->rpcs_issued();
-  EXPECT_GT(after_first, rpcs_before);
+  // Client logic: runs on both channels.
+  ForEachBackend([](BackendRig& rig) {
+    ClassId link = DefineLink(&rig.server().schema());
+    std::unique_ptr<ClientApi> a = rig.Connect(100);
+    std::unique_ptr<ClientApi> b = rig.Connect(101);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    const RpcMeter& meter = rig.deployment().meter();
+    Oid oid = SeedLinkVia(a.get(), link, 0.5);
+    uint64_t rpcs_before = b->rpcs_issued();
+    TxnId t = b->Begin();
+    ASSERT_TRUE(b->Read(t, oid).ok());
+    ASSERT_TRUE(b->Commit(t).ok());
+    uint64_t after_first = b->rpcs_issued();
+    EXPECT_GT(after_first, rpcs_before);
 
-  // Display-style read (degree 0) across transaction boundaries: zero
-  // server traffic — the §3.3 avoidance-based promise for displays.
-  uint64_t bytes_before = meter_.bytes();
-  ASSERT_TRUE(b_->ReadCurrent(oid).ok());
-  EXPECT_EQ(b_->rpcs_issued(), after_first);
-  EXPECT_EQ(meter_.bytes(), bytes_before);
+    // Display-style read (degree 0) across transaction boundaries: zero
+    // server traffic — the §3.3 avoidance-based promise for displays.
+    uint64_t bytes_before = meter.bytes();
+    ASSERT_TRUE(b->ReadCurrent(oid).ok());
+    EXPECT_EQ(b->rpcs_issued(), after_first);
+    EXPECT_EQ(meter.bytes(), bytes_before);
 
-  // Transactional read of the cached copy: no DATA travels, but (lock
-  // caching being out of scope) a small lock-only round trip grants the
-  // S lock that makes acting on the copy serializable.
-  TxnId t2 = b_->Begin();
-  auto obj = b_->Read(t2, oid);
-  ASSERT_TRUE(obj.ok());
-  EXPECT_EQ(obj.value().GetByName(server_.schema(), "Utilization").value(),
-            Value(0.5));
-  EXPECT_EQ(b_->rpcs_issued(), after_first + 1);  // the lock-only RPC
-  // Far fewer bytes than shipping the (wide) object again.
-  EXPECT_LT(meter_.bytes() - bytes_before, 100u);
-  ASSERT_TRUE(b_->Commit(t2).ok());
+    // Transactional read of the cached copy: no DATA travels, but (lock
+    // caching being out of scope) a small lock-only round trip grants the
+    // S lock that makes acting on the copy serializable.
+    TxnId t2 = b->Begin();
+    auto obj = b->Read(t2, oid);
+    ASSERT_TRUE(obj.ok());
+    EXPECT_EQ(obj.value().GetByName(b->schema(), "Utilization").value(),
+              Value(0.5));
+    EXPECT_EQ(b->rpcs_issued(), after_first + 1);  // the lock-only RPC
+    // Far fewer bytes than shipping the (wide) object again.
+    EXPECT_LT(meter.bytes() - bytes_before, 100u);
+    ASSERT_TRUE(b->Commit(t2).ok());
+  });
 }
 
 TEST_F(ClientServerTest, AvoidanceBasedCoherency_NoStaleReadEver) {

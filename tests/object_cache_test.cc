@@ -97,5 +97,47 @@ TEST(ObjectCacheTest, NeverEvictsTheOnlyEntry) {
   EXPECT_TRUE(cache.Contains(Oid(1)));
 }
 
+TEST(ObjectCacheTest, FillWindowDropsImageInvalidatedInFlight) {
+  ObjectCache cache;
+  ObjectCache::FillWindow fill(cache);
+  cache.InvalidateCached(Oid(1), 2);  // no entry yet: nothing to drop...
+  fill.Put(MakeObj(1, 10));           // ...but the late image is refused
+  EXPECT_FALSE(cache.Contains(Oid(1)));
+  fill.Put(MakeObj(2, 10));  // other oids are unaffected
+  EXPECT_TRUE(cache.Contains(Oid(2)));
+}
+
+TEST(ObjectCacheTest, FillWindowIgnoresInvalidationsBeforeItOpened) {
+  ObjectCache cache;
+  ObjectCache::FillWindow earlier(cache);
+  cache.InvalidateCached(Oid(1), 2);
+  // A fill that starts after the callback reads at least that version.
+  ObjectCache::FillWindow later(cache);
+  later.Put(MakeObj(1, 10));
+  EXPECT_TRUE(cache.Contains(Oid(1)));
+  // The earlier fill's image is refused.
+  cache.Drop(Oid(1));
+  earlier.Put(MakeObj(1, 10));
+  EXPECT_FALSE(cache.Contains(Oid(1)));
+}
+
+TEST(ObjectCacheTest, FillWindowDropsEverythingAfterClear) {
+  ObjectCache cache;
+  ObjectCache::FillWindow fill(cache);
+  cache.Clear();
+  fill.Put(MakeObj(1, 10));
+  EXPECT_FALSE(cache.Contains(Oid(1)));
+}
+
+TEST(ObjectCacheTest, NoMarksOutliveTheLastFillWindow) {
+  ObjectCache cache;
+  { ObjectCache::FillWindow fill(cache); }
+  cache.InvalidateCached(Oid(1), 2);  // no window open: not remembered
+  cache.Clear();
+  ObjectCache::FillWindow fill(cache);
+  fill.Put(MakeObj(1, 10));
+  EXPECT_TRUE(cache.Contains(Oid(1)));
+}
+
 }  // namespace
 }  // namespace idba

@@ -57,7 +57,7 @@ TEST_F(ServerApiTest, FetchAccountsBytesAndMisses) {
 
 TEST_F(ServerApiTest, FetchCurrentMissingOidIsNotFound) {
   ServerCallInfo info;
-  EXPECT_EQ(server_.FetchCurrent(7, Oid(999), &info).status().code(),
+  EXPECT_EQ(server_.FetchCurrent(7, Oid(999), true, &info).status().code(),
             StatusCode::kNotFound);
   EXPECT_GT(info.request_bytes, 0);  // the failed request still traveled
 }

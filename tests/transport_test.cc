@@ -285,6 +285,7 @@ TEST_F(TransportTest, WorkloadParityWithInProcessBackend) {
   RunWorkload(remote.get(), db_);
   auto remote_fp = Fingerprint(remote.get(), db_);
   uint64_t remote_rpcs = remote->rpcs_issued();
+  uint64_t remote_validation_aborts = remote->validation_aborts();
   uint64_t remote_commits = deployment_->server().commits();
 
   // In-process run: fresh deployment, same seed, same call sequence.
@@ -296,6 +297,7 @@ TEST_F(TransportTest, WorkloadParityWithInProcessBackend) {
 
   EXPECT_EQ(remote_fp, local_fp);
   EXPECT_EQ(remote_rpcs, session->client().rpcs_issued());
+  EXPECT_EQ(remote_validation_aborts, session->client().validation_aborts());
   EXPECT_EQ(remote_commits, local_dep.server().commits());
 }
 
